@@ -7,9 +7,8 @@ measurement CLI and delegates to these functions.
 
 from __future__ import annotations
 
-import os
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.sim.kernel import Simulator
 
@@ -19,16 +18,13 @@ __all__ = [
     "bench_chained",
     "bench_cancel_heavy",
     "bench_star_scenario",
-    "bench_star_compiled",
-    "current_backend",
     "samplers",
     "measure",
     "measure_gated",
 ]
 
-#: Pre-overhaul numbers (dataclass-event kernel, per-flip gate engine,
-#: per-frame ``EthernetFrame`` objects on the dataplane), captured at the
-#: seed commit on the same machine that produced the committed
+#: Pre-overhaul numbers (dataclass-event kernel, per-flip gate engine),
+#: captured at the seed commit on the same machine that produced the committed
 #: BENCH_kernel.json -- the "before" half of the before/after comparison.
 #: ``frames_per_s`` is derived: the star workload is deterministic, so the
 #: delivered-frame count is the same before and after and the pre-overhaul
@@ -41,23 +37,14 @@ BEFORE = {
 }
 
 #: Workloads whose throughput the regression gate watches.  The star row
-#: gates end-to-end frames/sec -- the fast-path acceptance metric -- not
-#: events/sec, so a change that fires fewer events per frame cannot game it.
+#: gates end-to-end frames/sec, not events/sec, so a change that fires
+#: fewer events per frame cannot game it.
 GATED: Tuple[Tuple[str, str], ...] = (
     ("chained", "events_per_s"),
     ("chained_post", "events_per_s"),
     ("cancel_heavy", "scheduled_per_s"),
     ("star_scenario", "frames_per_s"),
 )
-
-
-def current_backend() -> str:
-    """The kernel backend a fresh ``Simulator()`` resolves to right now.
-
-    Honours ``REPRO_BACKEND`` and compiled-extension availability, i.e.
-    exactly what every workload below will actually run on.
-    """
-    return Simulator().backend
 
 
 def bench_chained(n: int, use_post: bool) -> Dict[str, Any]:
@@ -142,35 +129,6 @@ def bench_star_scenario(ts_count: int, duration_ms: float) -> Dict[str, Any]:
     }
 
 
-def bench_star_compiled(
-    ts_count: int, duration_ms: float, repeats: int = 3
-) -> Optional[Dict[str, Any]]:
-    """Star workload forced onto the compiled backend; None if unavailable.
-
-    Used by the measurement CLI to record the compiled-kernel reference
-    numbers alongside a pure-Python baseline (separate section, never
-    compared against ``py`` numbers by the regression gate).
-    """
-    from repro.sim import fastpath
-
-    if fastpath.load() is None:
-        return None
-    old = os.environ.get("REPRO_BACKEND")
-    os.environ["REPRO_BACKEND"] = "c"
-    try:
-        bench_star_scenario(ts_count, duration_ms)  # warm-up
-        samples = [
-            bench_star_scenario(ts_count, duration_ms)
-            for _ in range(repeats)
-        ]
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_BACKEND", None)
-        else:
-            os.environ["REPRO_BACKEND"] = old
-    return max(samples, key=lambda s: s["frames_per_s"])
-
-
 def samplers(smoke: bool) -> Dict[str, Tuple[Callable[[], dict], str]]:
     """name -> (callable, throughput key) at the given scale."""
     chained_n = 30_000 if smoke else 200_000
@@ -211,6 +169,6 @@ def measure(smoke: bool, repeats: int = 3) -> Dict[str, dict]:
     """Measure the full workload set.
 
     Since the star scenario joined the gated set (its ``frames_per_s``
-    is the fast-path acceptance metric) this is the gated set.
+    is the end-to-end metric) this is the gated set.
     """
     return measure_gated(smoke, repeats)

@@ -162,14 +162,7 @@ def execute_run(payload: Dict[str, Any]) -> Dict[str, Any]:
             context["sim_stats"] = sim.stats.as_dict()
         recorder.dump_to(Path(payload["flight_dir"]) / name, context)
         row["flight_dump"] = name
-    digest = telemetry.finish(row["status"], row.get("error"))
-    if sim is not None:
-        # The backend this worker *actually* ran on travels back on the
-        # telemetry side channel (rows must stay backend-agnostic: the
-        # py/c equivalence lock compares them across backends); the
-        # runner asserts it matches its own resolution.
-        digest["backend"] = sim.backend
-    row["_telemetry"] = digest
+    row["_telemetry"] = telemetry.finish(row["status"], row.get("error"))
     return row
 
 

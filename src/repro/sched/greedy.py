@@ -1,8 +1,7 @@
 """The greedy ITP backend -- the paper's planner behind one new interface.
 
-This is the load-balancing core that used to live inside
-:class:`repro.cqf.itp.ItpPlanner` (Yan et al., *Injection Time Planning*,
-INFOCOM 2020), lifted onto the :class:`~repro.sched.problem.
+This is the load-balancing core of the original ``ItpPlanner`` (Yan et
+al., *Injection Time Planning*, INFOCOM 2020), lifted onto the :class:`~repro.sched.problem.
 SchedulingProblem` model: flows are processed in decreasing
 bandwidth-demand order and each picks the feasible injection slot that
 minimizes the worst per-slot load it touches, ``(frames, bytes)``

@@ -218,8 +218,8 @@ class SchedulePlan:
         """Stagger same-slot flows by one wire time each (ITP-identical).
 
         Iterates demands in problem order -- the original flow-set order --
-        so the phases match :class:`~repro.cqf.itp.ItpPlanner` byte for
-        byte on any plan the greedy backend produces.
+        so the phases match the original ``ItpPlanner`` byte for byte on
+        any plan the greedy backend produces.
         """
         next_phase: Dict[int, int] = {}
         slot_count = self.problem.slot_count

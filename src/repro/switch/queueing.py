@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Union
+from typing import Deque, List, Optional
 
 from repro.core.errors import ConfigurationError
 from .packet import Descriptor, EthernetFrame
@@ -134,15 +134,9 @@ class BufferPool:
     def in_use(self) -> int:
         return self.slots - len(self._free)
 
-    def allocate(
-        self, frame: Union[EthernetFrame, int]
-    ) -> Optional[int]:
-        """Claim a slot for *frame*; None when exhausted (drop) or oversize.
-
-        *frame* is either a full :class:`EthernetFrame` or, on the batched
-        fast path, its size in bytes (the only field admission needs).
-        """
-        size_bytes = frame if type(frame) is int else frame.size_bytes
+    def allocate(self, frame: EthernetFrame) -> Optional[int]:
+        """Claim a slot for *frame*; None when exhausted (drop) or oversize."""
+        size_bytes = frame.size_bytes
         if size_bytes > self.slot_bytes:
             raise ConfigurationError(
                 f"frame of {size_bytes}B exceeds buffer slot "

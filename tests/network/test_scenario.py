@@ -164,6 +164,9 @@ class TestStrictValidation:
 
         with pytest.raises(SpecValidationError, match="duration_ms"):
             ScenarioSpec.from_dict(_spec_dict(duration_mss=5))
+        # A removed Testbed knob is an unknown key like any other.
+        with pytest.raises(SpecValidationError, match="fastpath"):
+            ScenarioSpec.from_dict({**_spec_dict(), "fastpath": "on"})
 
     def test_all_problems_reported_at_once(self):
         from repro.core.errors import SpecValidationError

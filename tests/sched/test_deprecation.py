@@ -1,11 +1,7 @@
-"""The legacy ITP surface: deprecation shims stay byte-compatible."""
-
-import warnings
-
-import pytest
+"""The legacy ``ItpPlan`` view that sizing and the testbed still consume."""
 
 from repro.core.units import ms
-from repro.cqf.itp import ItpPlan, ItpPlanner, unplanned_plan
+from repro.cqf.itp import ItpPlan
 from repro.cqf.schedule import CqfSchedule
 from repro.sched import SchedulingProblem, make_scheduler
 from repro.traffic.flows import FlowSpec, TrafficClass
@@ -18,42 +14,6 @@ def _ts_flows(count):
         FlowSpec(i, TrafficClass.TS, "t", "l", 64, period_ns=ms(10))
         for i in range(count)
     ]
-
-
-class TestShims:
-    def test_itp_planner_warns(self):
-        with pytest.warns(DeprecationWarning, match="make_scheduler"):
-            ItpPlanner(SCHEDULE)
-
-    def test_unplanned_plan_warns(self):
-        with pytest.warns(DeprecationWarning, match="make_scheduler"):
-            unplanned_plan(SCHEDULE, _ts_flows(4))
-
-    def test_shim_matches_greedy_backend_byte_for_byte(self):
-        flows = _ts_flows(300)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = ItpPlanner(SCHEDULE).plan(flows)
-        problem = SchedulingProblem.from_flows(flows, SCHEDULE, 10**9)
-        modern = make_scheduler("greedy").solve(problem).to_itp_plan()
-        assert legacy.slot_frames == modern.slot_frames
-        assert legacy.slot_bytes == modern.slot_bytes
-        assert legacy.assignments == modern.assignments
-
-    def test_unplanned_shim_matches_backend(self):
-        flows = _ts_flows(16)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = unplanned_plan(SCHEDULE, flows)
-        problem = SchedulingProblem.from_flows(flows, SCHEDULE, 10**9)
-        modern = make_scheduler("unplanned").solve(problem).to_itp_plan()
-        assert legacy.assignments == modern.assignments
-
-    def test_plan_classes_do_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            plan = ItpPlan(SCHEDULE, slot_frames=[], slot_bytes=[])
-            assert plan.required_queue_depth == 0
 
 
 class TestLoadBalanceRatio:
