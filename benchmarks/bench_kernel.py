@@ -43,6 +43,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
@@ -92,7 +94,12 @@ def main(argv=None) -> int:
 
     payload = {
         "benchmark": "bench_kernel",
-        "params": {"smoke": args.smoke, "repeats": repeats},
+        "params": {
+            "smoke": args.smoke,
+            "repeats": repeats,
+            "cores": os.cpu_count() or 1,
+            "python": platform.python_version(),
+        },
         "before": BEFORE,
         "after": workloads,
     }

@@ -23,7 +23,7 @@ reads are rounded to integer nanoseconds.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.errors import SimulationError
 from .kernel import Simulator
@@ -60,6 +60,9 @@ class LocalClock:
         self._rate_correction = Fraction(0)
         self.drift_ppm = drift_ppm
         self._rate_listeners: List[Callable[[], None]] = []
+        # local interval -> sim delay at the current rate; see
+        # :meth:`sim_delay_for_local`.  Cleared by every rate change.
+        self._delay_memo: Dict[int, int] = {}
 
     # ------------------------------------------------------------- reading
 
@@ -117,6 +120,7 @@ class LocalClock:
             10**9
         ) / Fraction(10**6)
         self.drift_ppm = drift_ppm
+        self._delay_memo.clear()
         for listener in self._rate_listeners:
             listener()
 
@@ -126,6 +130,7 @@ class LocalClock:
         self._rate_correction = Fraction(correction_ppm).limit_denominator(
             10**9
         ) / Fraction(10**6)
+        self._delay_memo.clear()
         for listener in self._rate_listeners:
             listener()
 
@@ -146,11 +151,19 @@ class LocalClock:
         transmission every 125 ms of *local* time) on the perfect-time
         calendar.  Rounded to at least 1 ns so periodic processes always make
         progress.
+
+        Results are memoized per *local_delta_ns* until the next rate
+        change.  The callers are the gate engine's GCL intervals, so the
+        memo holds at most ``gate_size`` entries per engine, and repeated
+        guard-band checks skip the exact-rational division.
         """
-        if local_delta_ns <= 0:
-            raise SimulationError("local delay must be positive")
-        exact = Fraction(local_delta_ns) / self.rate
-        return max(1, round(exact))
+        delay = self._delay_memo.get(local_delta_ns)
+        if delay is None:
+            if local_delta_ns <= 0:
+                raise SimulationError("local delay must be positive")
+            delay = max(1, round(Fraction(local_delta_ns) / self.rate))
+            self._delay_memo[local_delta_ns] = delay
+        return delay
 
 
 class PerfectClock(LocalClock):

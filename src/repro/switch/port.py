@@ -27,7 +27,7 @@ sees -- the residual jitter visible in the paper's Fig. 2 / Fig. 7(d).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.core.units import serialization_ns, wire_bytes
@@ -88,7 +88,10 @@ class _ActiveTx:
 
 
 class EgressPort:
-    """The transmit side of one enabled TSN port."""
+    """The transmit side of one enabled TSN port.
+
+    *queues* is indexed by queue id: ``queues[q].queue_id == q``.
+    """
 
     def __init__(
         self,
@@ -112,6 +115,12 @@ class EgressPort:
             raise ConfigurationError(f"port rate must be positive, got {rate_bps}")
         if not queues:
             raise ConfigurationError("port needs at least one queue")
+        for index, queue in enumerate(queues):
+            if queue.queue_id != index:
+                raise ConfigurationError(
+                    f"{name}: queue list must be indexed by queue id, "
+                    f"found queue {queue.queue_id} at position {index}"
+                )
         self._sim = sim
         self.port_id = port_id
         self.rate_bps = rate_bps
@@ -134,12 +143,15 @@ class EgressPort:
         self._gate_wake_at: Optional[int] = None
         self._active: Optional[_ActiveTx] = None
         self._suspended: Optional[_ActiveTx] = None
-        self._queue_by_id: Dict[int, MetadataQueue] = {
-            q.queue_id: q for q in queues
-        }
-        self._express_list = [
-            q for q in queues if q.queue_id in self.express_queues
-        ]
+        # Bit q set iff queue q holds a descriptor: the Egress Sched's
+        # priority-encoder input.  Only ``enqueue`` and
+        # ``_start_transmission`` change a live port's queues, and they
+        # keep it current.
+        self._nonempty = 0
+        self._express_mask = sum(
+            1 << q.queue_id for q in queues
+            if q.queue_id in self.express_queues
+        )
 
     # ---------------------------------------------------------------- wiring
 
@@ -166,19 +178,18 @@ class EgressPort:
         target_id = self.gates.select_enqueue_queue(queue_id)
         if target_id is None:
             self.counters.dropped_gate += 1
-            queue = self._queue_by_id.get(queue_id)
-            if queue is not None:
-                queue.stats.gate_drops += 1
+            if 0 <= queue_id < len(self.queues):
+                self.queues[queue_id].stats.gate_drops += 1
             if self._obs is not None:
                 self._obs.on_drop("gate")
             if self._spans is not None:
                 self._spans.record(self._sim.now, "drop", self.name, frame)
             return False
-        queue = self._queue_by_id.get(target_id)
-        if queue is None:
+        if not 0 <= target_id < len(self.queues):
             raise SimulationError(
                 f"{self.name}: gate selected unknown queue {target_id}"
             )
+        queue = self.queues[target_id]
         slot = self.pool.allocate(frame)
         if slot is None:
             self.counters.dropped_no_buffer += 1
@@ -201,6 +212,7 @@ class EgressPort:
             if self._spans is not None:
                 self._spans.record(self._sim.now, "drop", self.name, frame)
             return False
+        self._nonempty |= 1 << target_id
         self.counters.note_enqueue(target_id)
         if self._obs is not None:
             self._obs.on_enqueue(target_id, len(queue))
@@ -230,7 +242,7 @@ class EgressPort:
         shaper = self.scheduler.shapers.get(queue_id)
         if shaper is not None:
             shaper.set_backlog(
-                self._sim.now, not self._queue_by_id[queue_id].empty
+                self._sim.now, not self.queues[queue_id].empty
             )
 
     # ---------------------------------------------------------------- egress
@@ -274,7 +286,7 @@ class EgressPort:
         if self.preemption_enabled:
             express = self._express_select()
             if express.queue_id is not None:
-                self._start_transmission(self._queue_by_id[express.queue_id])
+                self._start_transmission(self.queues[express.queue_id])
                 return
             if self._suspended is not None:
                 if self._can_resume(self._suspended):
@@ -285,10 +297,14 @@ class EgressPort:
                         self._arm_gate_wake(express.gate_wake_delay_ns)
                 return  # preemptable MAC is committed to the suspended frame
         decision = self.scheduler.select(
-            self._sim.now, self.queues, self.gates, self._serialization_ns
+            self._sim.now,
+            self.queues,
+            self.gates,
+            self._serialization_ns,
+            self._nonempty,
         )
         if decision.queue_id is not None:
-            self._start_transmission(self._queue_by_id[decision.queue_id])
+            self._start_transmission(self.queues[decision.queue_id])
             return
         if decision.retry_delay_ns is not None:
             self._arm_retry(decision.retry_delay_ns)
@@ -297,13 +313,14 @@ class EgressPort:
 
     def _express_select(self) -> SchedulerDecision:
         """Arbitration over the express queues only."""
-        if not self._express_list:
+        if not self._express_mask:
             return _NO_EXPRESS
         return self.scheduler.select(
             self._sim.now,
-            self._express_list,
+            self.queues,
             self.gates,
             self._serialization_ns,
+            self._nonempty & self._express_mask,
         )
 
     def _arm_retry(self, delay_ns: int) -> None:
@@ -379,6 +396,8 @@ class EgressPort:
 
     def _start_transmission(self, queue: MetadataQueue) -> None:
         descriptor = queue.dequeue()
+        if queue.empty:
+            self._nonempty &= ~(1 << queue.queue_id)
         now = self._sim.now
         if self._obs is not None:
             self._obs.on_dequeue(
@@ -486,7 +505,7 @@ class EgressPort:
         shaper = self.scheduler.shapers.get(tx.queue_id)
         if shaper is not None:
             shaper.end_transmission(
-                self._sim.now, not self._queue_by_id[tx.queue_id].empty
+                self._sim.now, not self.queues[tx.queue_id].empty
             )
         if self._tracer.active:
             self._tracer.emit(
@@ -524,7 +543,7 @@ class EgressPort:
         shaper = self.scheduler.shapers.get(tx.queue_id)
         if shaper is not None:
             shaper.end_transmission(
-                self._sim.now, not self._queue_by_id[tx.queue_id].empty
+                self._sim.now, not self.queues[tx.queue_id].empty
             )
         assert self._deliver is not None
         self._deliver(tx.descriptor.frame)

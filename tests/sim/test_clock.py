@@ -1,5 +1,7 @@
 """Drifting local clocks."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -117,3 +119,52 @@ class TestLocalDelay:
         sim = Simulator()
         with pytest.raises(SimulationError):
             LocalClock(sim).sim_delay_for_local(0)
+
+
+class TestLocalDelayMemo:
+    """``sim_delay_for_local`` memoizes per interval until the rate moves."""
+
+    @staticmethod
+    def _fresh(clock, local_ns):
+        return max(1, round(Fraction(local_ns) / clock.rate))
+
+    def test_adjust_rate_invalidates(self):
+        sim = Simulator()
+        clock = LocalClock(sim, drift_ppm=20)
+        before = clock.sim_delay_for_local(1_000_000)
+        assert before == self._fresh(clock, 1_000_000) == 999_980
+        _advance(sim, 500)
+        clock.adjust_rate(-20)
+        after = clock.sim_delay_for_local(1_000_000)
+        assert after == self._fresh(clock, 1_000_000) == 1_000_000
+
+    def test_set_drift_invalidates(self):
+        sim = Simulator()
+        clock = LocalClock(sim)
+        assert clock.sim_delay_for_local(1_000_000) == 1_000_000
+        _advance(sim, 500)
+        clock.set_drift_ppm(-50)
+        after = clock.sim_delay_for_local(1_000_000)
+        assert after == self._fresh(clock, 1_000_000) == 1_000_050
+
+    def test_step_keeps_value(self):
+        sim = Simulator()
+        clock = LocalClock(sim, drift_ppm=-7)
+        before = clock.sim_delay_for_local(62_500)
+        _advance(sim, 500)
+        clock.step(1_234)
+        assert clock.sim_delay_for_local(62_500) == before
+        assert before == self._fresh(clock, 62_500)
+
+    def test_listeners_see_the_new_rate(self):
+        """Rate listeners (window-table rebuilds) convert at the new rate."""
+        sim = Simulator()
+        clock = LocalClock(sim, drift_ppm=20)
+        clock.sim_delay_for_local(1_000_000)
+        seen = []
+        clock.on_rate_change(
+            lambda: seen.append(clock.sim_delay_for_local(1_000_000))
+        )
+        clock.adjust_rate(-20)
+        clock.set_drift_ppm(100)
+        assert seen == [1_000_000, self._fresh(clock, 1_000_000)]

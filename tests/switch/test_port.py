@@ -1,6 +1,7 @@
 """Egress port: admission, transmission timing, drop accounting."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import ConfigurationError, SimulationError
 from repro.sim.kernel import Simulator
@@ -39,6 +40,31 @@ def _port(sim, depth=4, buffers=8, out_entries=None, in_entries=None,
     gates.set_on_change(port.kick)
     gates.start()
     return port
+
+
+def queue_mask(port):
+    """Bit q set iff ``port.queues[q]`` holds a descriptor."""
+    return sum(1 << q.queue_id for q in port.queues if not q.empty)
+
+
+def watch_nonempty_mask(port, methods):
+    """Check ``port._nonempty`` after every call of *methods* on *port*.
+
+    Returns the list of method names in call order, so a test can see
+    which paths it exercised.
+    """
+    calls = []
+    for name in methods:
+        original = getattr(port, name)
+
+        def checked(*args, _original=original, _name=name, **kwargs):
+            result = _original(*args, **kwargs)
+            assert port._nonempty == queue_mask(port), _name
+            calls.append(_name)
+            return result
+
+        setattr(port, name, checked)
+    return calls
 
 
 class TestTransmissionTiming:
@@ -153,3 +179,47 @@ class TestWiring:
         port.enqueue(_frame(size=200), 3)
         assert port.backlog_frames() == 2
         assert port.backlog_bytes() == 300
+
+
+class TestNonEmptyMask:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        arrivals=st.lists(
+            st.tuples(
+                st.integers(0, 40_000),   # arrival time (ns)
+                st.integers(0, 7),        # queue
+                st.integers(64, 1500),    # frame bytes
+            ),
+            max_size=30,
+        )
+    )
+    def test_mask_tracks_queues_through_a_run(self, arrivals):
+        sim = Simulator()
+        port = _port(
+            sim,
+            out_entries=[GateEntry(0xF0, 8_000), GateEntry(0x0F, 8_000)],
+        )
+        port.attach(lambda f: None)
+        calls = watch_nonempty_mask(
+            port, ("enqueue", "_start_transmission", "_tx_idle")
+        )
+        for at, queue_id, size in arrivals:
+            sim.schedule(
+                at,
+                lambda q=queue_id, n=size: port.enqueue(_frame(n, q), q),
+            )
+        sim.run(until=200_000)
+        assert calls.count("enqueue") == len(arrivals)
+        # Frames longer than a gate window (8 us) never leave.
+        assert port._nonempty == queue_mask(port)
+
+    def test_queues_must_be_indexed_by_id(self):
+        sim = Simulator()
+        gates = GateEngine(sim, GateControlList(1), GateControlList(1))
+        for queues in (
+            [MetadataQueue(4, q) for q in (1, 0)],
+            [MetadataQueue(4) for _ in range(8)],
+        ):
+            with pytest.raises(ConfigurationError):
+                EgressPort(sim, 0, GBPS, queues, BufferPool(8), gates,
+                           StrictPriorityScheduler())

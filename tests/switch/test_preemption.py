@@ -16,6 +16,8 @@ from repro.switch.queueing import BufferPool, MetadataQueue
 from repro.switch.scheduler import StrictPriorityScheduler
 from repro.switch.tables import GateControlList, GateEntry
 
+from .test_port import watch_nonempty_mask
+
 GBPS = 10**9
 
 
@@ -188,6 +190,11 @@ class TestPreemptionEndToEnd:
         assert preempted.analyzer.received() == plain.analyzer.received()
 
 
+_MASK_CHECKED = (
+    "enqueue", "_start_transmission", "_tx_idle", "_execute_cut", "_resume",
+)
+
+
 class TestPreemptionProperties:
     from hypothesis import given, settings, strategies as st
 
@@ -218,3 +225,40 @@ class TestPreemptionProperties:
             assert delivered.count(200 + index) == 1
         assert port.pool.in_use == 0
         assert port.pool.stats.releases == port.pool.stats.allocations
+
+    def test_nonempty_mask_across_cut_and_resume(self):
+        sim = Simulator()
+        port = _port(sim)
+        port.attach(lambda f: None)
+        calls = watch_nonempty_mask(port, _MASK_CHECKED)
+        port.enqueue(_frame(0, size=1500, flow=100), 0)
+        port.enqueue(_frame(0, size=300, flow=101), 0)
+        sim.run(until=2_000)
+        port.enqueue(_frame(7, size=64, flow=200), 7)
+        sim.run(until=50_000)
+        assert "_execute_cut" in calls and "_resume" in calls
+        assert port._nonempty == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        arrivals=st.lists(
+            st.tuples(
+                st.integers(0, 30_000),   # arrival time (ns)
+                st.integers(0, 7),        # queue (6, 7 are express)
+                st.integers(64, 1500),    # frame bytes
+            ),
+            max_size=30,
+        )
+    )
+    def test_nonempty_mask_in_random_preemptive_runs(self, arrivals):
+        sim = Simulator()
+        port = _port(sim)
+        port.attach(lambda f: None)
+        watch_nonempty_mask(port, _MASK_CHECKED)
+        for at, queue_id, size in arrivals:
+            sim.schedule(
+                at,
+                lambda q=queue_id, n=size: port.enqueue(_frame(q, size=n), q),
+            )
+        sim.run(until=500_000)
+        assert port._nonempty == 0 and port.backlog_frames() == 0
